@@ -1,6 +1,7 @@
 //! The experiment harness: regenerates every table, figure and
-//! theorem-shaped claim of the paper (see DESIGN.md §4 for the index and
-//! EXPERIMENTS.md for recorded results).
+//! theorem-shaped claim of the paper, one experiment per `eN` argument
+//! (end-to-end serving figures come from the HTTP benchmark in
+//! `perfbench/README.md`).
 //!
 //! Run all:   `cargo run -p triq-bench --release --bin experiments`
 //! Run one:   `cargo run -p triq-bench --release --bin experiments -- e5`

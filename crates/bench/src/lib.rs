@@ -1,8 +1,8 @@
 //! Shared helpers for the experiment harness (`src/bin/experiments.rs`)
 //! and the criterion benches (`benches/`). Each experiment reproduces one
-//! table, figure or theorem-shaped claim of the paper; EXPERIMENTS.md
-//! records the paper-claim vs measured outcome for every row the harness
-//! prints.
+//! table, figure or theorem-shaped claim of the paper. End-to-end
+//! serving figures come from the HTTP benchmark described in
+//! `perfbench/README.md`.
 
 use std::time::Instant;
 

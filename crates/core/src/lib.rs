@@ -121,14 +121,16 @@
 //! (`triq-cli serve`, wire format in `docs/PROTOCOL.md`).
 
 pub mod api;
-pub mod engine;
+mod counters;
 pub mod persist;
+mod same_as;
 mod triq_lang;
 
 pub use api::{
-    AppliedDelta, Datalog, Engine, EngineBuilder, EngineStats, IntoQuery, PreparedQuery, QuerySpec,
-    Semantics, Session, SessionSnapshot, SharedSession, Sparql,
+    AppliedDelta, Counter, CounterKind, Datalog, Engine, EngineBuilder, EngineStats, IntoQuery,
+    PreparedQuery, QuerySpec, Semantics, Session, SessionSnapshot, SharedSession, Sparql,
 };
+pub use same_as::{materialize_same_as, same_as_regime_library};
 pub use triq_lang::{TriqLiteQuery, TriqQuery};
 
 /// Re-export: shared term model.
@@ -150,10 +152,10 @@ pub use triq_translate as translate;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use crate::api::{
-        AppliedDelta, Datalog, Engine, EngineBuilder, EngineStats, IntoQuery, PreparedQuery,
-        QuerySpec, Semantics, Session, SessionSnapshot, SharedSession, Sparql,
+        AppliedDelta, Counter, CounterKind, Datalog, Engine, EngineBuilder, EngineStats, IntoQuery,
+        PreparedQuery, QuerySpec, Semantics, Session, SessionSnapshot, SharedSession, Sparql,
     };
-    pub use crate::{TriqLiteQuery, TriqQuery};
+    pub use crate::{materialize_same_as, same_as_regime_library, TriqLiteQuery, TriqQuery};
     pub use triq_common::json::Json;
     pub use triq_common::{intern, Delta, Fact, NullId, Symbol, Term, TriqError, VarId};
     pub use triq_datalog::{
@@ -172,10 +174,4 @@ pub mod prelude {
     pub use triq_translate::{
         translate_pattern, translate_pattern_all, translate_pattern_u, RegimeAnswers,
     };
-    // Deprecated entry points, kept importable so pre-facade code keeps
-    // compiling (with deprecation warnings at the use sites).
-    #[allow(deprecated)]
-    pub use crate::engine::SparqlEngine;
-    #[allow(deprecated)]
-    pub use triq_translate::{evaluate_plain, evaluate_regime_all, evaluate_regime_u};
 }

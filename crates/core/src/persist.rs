@@ -194,9 +194,18 @@ mod tests {
         session.add_fact("e", &["a", "b"]);
         let shared = session.into_shared();
         shared.execute(&q).unwrap();
-        let (a, _) = encode_snapshot(&shared);
-        let (b, _) = encode_snapshot(&shared);
-        assert_eq!(a, b);
+        // The snapshot carries the process-wide interner, which tests
+        // running in parallel keep growing: compare two encodings taken
+        // while its size held still.
+        loop {
+            let symbols = triq_common::interned_strings().len();
+            let (a, _) = encode_snapshot(&shared);
+            let (b, _) = encode_snapshot(&shared);
+            if triq_common::interned_strings().len() == symbols {
+                assert_eq!(a, b);
+                break;
+            }
+        }
     }
 
     #[test]

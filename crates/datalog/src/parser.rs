@@ -125,7 +125,10 @@ fn lex(input: &str) -> Result<Vec<Tok>> {
                 chars.next();
                 let mut name = String::from("?");
                 while let Some(&(_, ch)) = chars.peek() {
-                    if ch.is_alphanumeric() || ch == '_' {
+                    // '~' as in identifiers: the SPARQL translation names
+                    // blank-node variables `?blank~C~1`, and a stored
+                    // program must re-parse from its `Display` text.
+                    if ch.is_alphanumeric() || ch == '_' || ch == '~' {
                         name.push(ch);
                         chars.next();
                     } else {

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use triq_common::codec::{encode_interner, Decoder, Encoder, SymbolRemap};
-use triq_common::{intern, Delta, TermId};
+use triq_common::{intern, interned_strings, Delta, TermId};
 use triq_datalog::persist::{
     decode_instance, decode_view, encode_instance, encode_view, plan_fingerprint,
 };
@@ -141,10 +141,19 @@ proptest! {
     #[test]
     fn random_instances_round_trip(seed in any::<u64>()) {
         let inst = build_instance(seed);
-        let (bytes, out) = round_trip(&inst);
-        check_equal(&inst, &out)?;
-        let (bytes2, _) = round_trip(&out);
-        prop_assert_eq!(bytes, bytes2, "encoding is a fixpoint after decode");
+        // Both streams carry the process-wide interner, which the other
+        // tests in this binary grow concurrently: compare two encodings
+        // taken while its size held still.
+        loop {
+            let symbols = interned_strings().len();
+            let (bytes, out) = round_trip(&inst);
+            check_equal(&inst, &out)?;
+            let (bytes2, _) = round_trip(&out);
+            if interned_strings().len() == symbols {
+                prop_assert_eq!(bytes, bytes2, "encoding is a fixpoint after decode");
+                break;
+            }
+        }
     }
 
     /// No prefix of a valid stream panics the decoder: every truncation

@@ -11,10 +11,12 @@
 //!   rename) on a policy of every N ops / M bytes of WAL, after which
 //!   the WAL is truncated;
 //! * **recovery** ([`Persistence::open`]): load the newest valid
-//!   snapshot, replay the WAL tail through the engine's incremental
-//!   apply path (torn or corrupt tails are truncated, not fatal), and
-//!   hand back a [`SharedSession`] at the **exact pre-crash version**
-//!   with byte-identical answers — no re-chase.
+//!   snapshot, replay the WAL tail record by record through
+//!   [`SharedSession::apply`] — the same incremental apply the live
+//!   writer ran, so recovered views stay synced (torn or corrupt tails
+//!   are truncated, not fatal), and hand back a [`SharedSession`] at
+//!   the **exact pre-crash version** with byte-identical answers — no
+//!   re-chase.
 //!
 //! The handle assumes the server's single-writer discipline: one thread
 //! interleaves [`Persistence::append`] → [`SharedSession::apply`] →
@@ -31,7 +33,7 @@
 use std::io;
 use std::path::Path;
 
-use triq::api::{Engine, SharedSession};
+use triq::api::{Counter, Engine, SharedSession};
 use triq_common::{Delta, Result, TriqError};
 
 mod snapshot;
@@ -117,9 +119,11 @@ impl Persistence {
     ///
     /// * Fresh (or empty) directory → `session: None`; the caller
     ///   builds the initial state and checkpoints it.
-    /// * Snapshot present → decode it, replay the WAL tail through the
-    ///   incremental apply path, return the session at the exact
-    ///   pre-crash version.
+    /// * Snapshot present → decode it, replay the WAL tail one record
+    ///   at a time through [`SharedSession::apply`] (exactly as the live
+    ///   writer applied it, so views restored from the snapshot are kept
+    ///   synced rather than evicted by a long tail), return the session
+    ///   at the exact pre-crash version.
     /// * WAL records but **no** usable snapshot → `E-PERSIST`: the base
     ///   state the records build on is gone, silently starting empty
     ///   would lose acknowledged writes.
@@ -159,7 +163,7 @@ impl Persistence {
             });
         };
         persistence.last_checkpoint_version = snap_version;
-        let mut session = triq::persist::decode_snapshot(engine, &body)?;
+        let session = triq::persist::decode_snapshot(engine, &body)?.into_shared();
         let mut replayed = 0u64;
         for record in &records {
             if record.pre_version < session.version() {
@@ -181,7 +185,7 @@ impl Persistence {
                     session.version(),
                 )));
             }
-            session.apply_delta(&record.delta);
+            session.apply(&record.delta);
             replayed += 1;
         }
         // Same gap, empty-WAL shape: a newer snapshot is named in the
@@ -200,7 +204,7 @@ impl Persistence {
                 )));
             }
         }
-        engine.record_recovery_replayed(replayed);
+        engine.add(Counter::RecoveryReplayedOps, replayed);
         let recovery = RecoveryStats {
             snapshot_version: snap_version,
             replayed_records: replayed,
@@ -208,7 +212,7 @@ impl Persistence {
         };
         Ok(Opened {
             persistence,
-            session: Some(session.into_shared()),
+            session: Some(session),
             recovery: Some(recovery),
         })
     }
@@ -216,15 +220,16 @@ impl Persistence {
     /// Logs one netted batch at `pre_version` (the session version
     /// *before* it applies). Call before [`SharedSession::apply`]; on
     /// `Err` do **not** apply — the write is not durable and must be
-    /// rejected. Ticks the engine's `wal_records` / `wal_bytes`
-    /// counters.
+    /// rejected. Ticks the engine's [`Counter::WalRecords`] and
+    /// [`Counter::WalBytes`].
     pub fn append(&mut self, pre_version: u64, delta: &Delta, engine: &Engine) -> Result<()> {
         let rec = &**engine.recorder();
         let bytes = {
             let _t = triq_obs::Timer::start(rec, triq_obs::Phase::WalAppend);
             self.wal.append(pre_version, delta)?
         };
-        engine.record_wal_append(bytes);
+        engine.add(Counter::WalRecords, 1);
+        engine.add(Counter::WalBytes, bytes);
         Ok(())
     }
 
@@ -242,7 +247,7 @@ impl Persistence {
     /// waits for `checkpoint_ops` more appended records instead of
     /// retrying (and re-encoding the whole session under the writer
     /// lock) on every subsequent update. Failures tick the engine's
-    /// `checkpoint_failures` counter, surfaced through `GET /stats`;
+    /// [`Counter::CheckpointFailures`], surfaced through `GET /stats`;
     /// the WAL keeps covering the state either way.
     pub fn maybe_checkpoint(&mut self, shared: &SharedSession) -> Result<Option<u64>> {
         if !self.should_checkpoint() {
@@ -256,7 +261,7 @@ impl Persistence {
             Err(e) => {
                 self.retry_checkpoint_at =
                     self.wal.appended_records() + self.config.checkpoint_ops.max(1);
-                shared.engine().record_checkpoint_failure();
+                shared.engine().add(Counter::CheckpointFailures, 1);
                 Err(e)
             }
         }
@@ -268,7 +273,7 @@ impl Persistence {
     /// and truncates the WAL — the state that could replace a bad
     /// snapshot is never destroyed before the snapshot has proven
     /// itself. Returns the checkpointed version and ticks the engine's
-    /// `snapshots_written` / `last_checkpoint_version` counters.
+    /// [`Counter::SnapshotsWritten`] and [`Counter::LastCheckpointVersion`].
     pub fn checkpoint(&mut self, shared: &SharedSession) -> Result<u64> {
         let rec = &**shared.engine().recorder();
         let (body, version) = {
@@ -284,7 +289,8 @@ impl Persistence {
         self.wal.truncate()?;
         self.last_checkpoint_version = version;
         self.retry_checkpoint_at = 0;
-        shared.engine().record_checkpoint(version);
+        shared.engine().add(Counter::SnapshotsWritten, 1);
+        shared.engine().set(Counter::LastCheckpointVersion, version);
         Ok(version)
     }
 
@@ -303,7 +309,7 @@ impl Persistence {
 mod tests {
     use super::*;
     use std::path::PathBuf;
-    use triq::api::Datalog;
+    use triq::api::{Datalog, Semantics};
 
     const TC: &str = "e(?X, ?Y) -> t(?X, ?Y).\n e(?X, ?Y), t(?Y, ?Z) -> t(?X, ?Z).\n\
                       t(?X, ?Y) -> out(?X, ?Y).";
@@ -541,5 +547,76 @@ mod tests {
         let recovered = opened.session.unwrap();
         assert_eq!(recovered.version(), version);
         assert_eq!(recovered.execute(&q2).unwrap().tuples(), answers.tuples());
+    }
+
+    /// A checkpointed J·K^All view over a blank-node pattern stores a
+    /// program whose variables are named `?blank~C~1`; recovery must
+    /// re-parse it and adopt the view without a chase.
+    #[test]
+    fn regime_all_blank_view_recovers_from_checkpoint() {
+        let dir = tmpdir("kall-blank");
+        let select = || triq::sparql::parse_select("SELECT ?X WHERE { ?X teaches _:C }").unwrap();
+        let graph = triq::rdf::parse_turtle(
+            "alice teaches c1 .\n bob teaches c2 .\n carol name \"Carol\" .",
+        )
+        .unwrap();
+        let engine = Engine::new();
+        let q = engine.prepare((select(), Semantics::RegimeAll)).unwrap();
+        let mut p = Persistence::open(&dir, PersistConfig::default(), &engine)
+            .unwrap()
+            .persistence;
+        let shared = engine.load_graph(graph).into_shared();
+        let answers = shared.mappings(&q).unwrap();
+        assert_eq!(answers.mappings().unwrap().len(), 2);
+        p.checkpoint(&shared).unwrap();
+        drop((p, shared));
+
+        let engine2 = Engine::new();
+        let q2 = engine2.prepare((select(), Semantics::RegimeAll)).unwrap();
+        let opened = Persistence::open(&dir, PersistConfig::default(), &engine2).unwrap();
+        let recovered = opened.session.expect("state must recover");
+        assert_eq!(
+            format!("{:?}", recovered.mappings(&q2).unwrap()),
+            format!("{answers:?}")
+        );
+        assert_eq!(engine2.stats().chase_runs, 0, "the view was adopted");
+    }
+
+    /// Recovery replays the WAL tail the way the live writer applied it,
+    /// so a view restored from the snapshot survives a tail longer than
+    /// the session's pending-op bound (4096 facts) and is adopted with
+    /// no chase.
+    #[test]
+    fn long_wal_tail_keeps_restored_views() {
+        let dir = tmpdir("long-tail");
+        let engine = Engine::new();
+        let q = engine.prepare(Datalog(TC, "out")).unwrap();
+        let mut p = Persistence::open(&dir, PersistConfig::default(), &engine)
+            .unwrap()
+            .persistence;
+        let shared = engine.session().into_shared();
+        shared.execute(&q).unwrap();
+        p.checkpoint(&shared).unwrap();
+        // Three records of 2000 disjoint edges: 6000 facts in the tail.
+        for batch in 0..3 {
+            let mut delta = Delta::new();
+            for i in 0..2000 {
+                let n = batch * 2000 + i;
+                delta = delta.insert("e", &[&format!("a{n}"), &format!("b{n}")]);
+            }
+            durable_apply(&mut p, &shared, &delta);
+        }
+        assert_eq!(p.last_checkpoint_version(), 0, "the tail stays in the WAL");
+        let live = shared.execute(&q).unwrap();
+        assert_eq!(live.len(), 6000);
+        drop((p, shared));
+
+        let engine2 = Engine::new();
+        let q2 = engine2.prepare(Datalog(TC, "out")).unwrap();
+        let opened = Persistence::open(&dir, PersistConfig::default(), &engine2).unwrap();
+        assert_eq!(opened.recovery.unwrap().replayed_records, 3);
+        let recovered = opened.session.unwrap();
+        assert_eq!(recovered.execute(&q2).unwrap().tuples(), live.tuples());
+        assert_eq!(engine2.stats().chase_runs, 0, "the view was adopted");
     }
 }

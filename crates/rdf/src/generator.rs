@@ -1,7 +1,7 @@
 //! Synthetic workload generators.
 //!
 //! The paper has no published datasets (it is a theory paper), so every
-//! experiment in EXPERIMENTS.md runs on graphs produced here. Each generator
+//! experiment of the `triq-bench` harness runs on graphs produced here. Each generator
 //! is deterministic given its seed/parameters.
 
 use crate::vocab;

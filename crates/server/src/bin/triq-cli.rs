@@ -54,7 +54,7 @@
 //! *evaluate* (an ambient chase deadline); `--max-concurrent-reads N`
 //! caps in-flight query evaluations. Both answer `503 E-RESOURCE` on
 //! exhaustion, mirroring the bounded update queue, and tick the
-//! `deadline_exceeded` / `requests_rejected` engine counters. `0`
+//! engine's `Counter::DeadlineExceeded` / `Counter::RequestsRejected`. `0`
 //! (the default) disables each guard.
 //!
 //! `load` bulk-parses a Turtle file with the parallel chunked parser
@@ -112,35 +112,10 @@ fn usage() -> ExitCode {
 
 /// Prints the engine counters (the [`EngineStats`] snapshot) to stderr.
 fn print_stats(engine: &Engine) {
-    let s = engine.stats();
     eprintln!("stats:");
-    eprintln!("  prepared queries: {}", s.prepared_queries);
-    eprintln!("  executions:       {}", s.executions);
-    eprintln!("  chase runs:       {}", s.chase_runs);
-    eprintln!("  cache hits:       {}", s.cache_hits);
-    eprintln!("  atoms derived:    {}", s.atoms_derived);
-    eprintln!("  join probes:      {}", s.join_probes);
-    eprintln!("  parallel strata:  {}", s.parallel_strata);
-    eprintln!("  deltas applied:   {}", s.deltas_applied);
-    eprintln!("  atoms overdeleted:{}", s.atoms_overdeleted);
-    eprintln!("  atoms rederived:  {}", s.atoms_rederived);
-    eprintln!("  plans compiled:   {}", s.plans_compiled);
-    eprintln!("  replans:          {}", s.replans);
-    eprintln!("  index builds:     {}", s.index_builds);
-    eprintln!("  index probes:     {}", s.index_probes);
-    eprintln!("  morsel batches:   {}", s.morsel_batches);
-    eprintln!("  kernel rows:      {}", s.kernel_filter_rows);
-    eprintln!("  wal records:      {}", s.wal_records);
-    eprintln!("  wal bytes:        {}", s.wal_bytes);
-    eprintln!("  snapshots written:{}", s.snapshots_written);
-    eprintln!("  last checkpoint:  v{}", s.last_checkpoint_version);
-    eprintln!("  recovery replayed:{}", s.recovery_replayed_ops);
-    eprintln!("  checkpoint fails: {}", s.checkpoint_failures);
-    eprintln!("  demand rewrites:  {}", s.demand_rewrites);
-    eprintln!("  demand fallbacks: {}", s.demand_fallbacks);
-    eprintln!("  demand atoms saved:{}", s.demand_atoms_saved);
-    eprintln!("  reads rejected:   {}", s.requests_rejected);
-    eprintln!("  deadlines blown:  {}", s.deadline_exceeded);
+    for (name, _, _, value) in engine.stats().iter() {
+        eprintln!("  {:<18}{value}", format!("{}:", name.replace('_', " ")));
+    }
 }
 
 /// Prints the `--profile` per-phase timing table to stderr: every phase

@@ -63,14 +63,14 @@ pub struct ServiceConfig {
     /// installed as the handler thread's ambient deadline
     /// (`triq_common::deadline`) and polled by the chase between rounds
     /// and every ~1024 derivations; exceeding it answers
-    /// `503 E-RESOURCE` and ticks the engine's `deadline_exceeded`
-    /// counter. Requests that complete are byte-identical to an
-    /// unbounded run.
+    /// `503 E-RESOURCE` and ticks the engine's
+    /// [`Counter::DeadlineExceeded`]. Requests that complete are
+    /// byte-identical to an unbounded run.
     pub read_deadline_ms: u64,
     /// Upper bound on `POST /query` requests evaluated concurrently
     /// (`0` = unlimited, the default). Excess requests fail fast with
     /// `503 E-RESOURCE` — the same contract as the bounded update
-    /// queue — and tick the engine's `requests_rejected` counter.
+    /// queue — and tick the engine's [`Counter::RequestsRejected`].
     pub max_concurrent_reads: usize,
 }
 
@@ -211,7 +211,7 @@ impl QueryService {
         }
         if self.active_reads.fetch_add(1, Ordering::AcqRel) >= cap as u64 {
             self.active_reads.fetch_sub(1, Ordering::AcqRel);
-            self.engine.record_read_rejected();
+            self.engine.add(Counter::RequestsRejected, 1);
             return Err(Response::error(
                 503,
                 "E-RESOURCE",
@@ -305,7 +305,7 @@ impl QueryService {
                     && deadline.is_some()
                     && triq_common::deadline::expired()
                 {
-                    self.engine.record_deadline_exceeded();
+                    self.engine.add(Counter::DeadlineExceeded, 1);
                 }
                 triq_error_response(&e)
             }
@@ -631,9 +631,10 @@ impl QueryService {
 
     /// The Prometheus exposition: every phase histogram of the shared
     /// telemetry, the HTTP request-latency histogram, requests-by-status
-    /// counters, uptime, trace-ring occupancy, and the engine's
-    /// monotonic counters. Rendering is deterministic for equal state
-    /// (name-sorted families, integer values).
+    /// counters, uptime, trace-ring occupancy, and one
+    /// `triq_engine_<name>` family per engine [`Counter`]. Rendering is
+    /// deterministic for equal state (name-sorted families, integer
+    /// values).
     fn handle_metrics(&self) -> Response {
         let mut e = Exposition::new();
         self.telemetry.export(&mut e);
@@ -691,146 +692,13 @@ impl QueryService {
             "Successful POST /update requests",
             self.updates_applied.load(Ordering::Relaxed),
         );
-        let s = self.engine.stats();
-        for (name, help, value) in [
-            (
-                "triq_engine_prepared_queries",
-                "Queries prepared",
-                s.prepared_queries as u64,
-            ),
-            (
-                "triq_engine_executions",
-                "Prepared-query executions",
-                s.executions as u64,
-            ),
-            (
-                "triq_engine_chase_runs",
-                "Chase runs performed",
-                s.chase_runs as u64,
-            ),
-            (
-                "triq_engine_cache_hits",
-                "Executions served from cache",
-                s.cache_hits as u64,
-            ),
-            (
-                "triq_engine_atoms_derived",
-                "Atoms derived by the chase",
-                s.atoms_derived,
-            ),
-            (
-                "triq_engine_join_probes",
-                "Join candidate probes",
-                s.join_probes,
-            ),
-            (
-                "triq_engine_parallel_strata",
-                "Strata run with parallel match collection",
-                s.parallel_strata as u64,
-            ),
-            (
-                "triq_engine_deltas_applied",
-                "Session deltas absorbed incrementally",
-                s.deltas_applied as u64,
-            ),
-            (
-                "triq_engine_atoms_overdeleted",
-                "Atoms over-deleted by DRed",
-                s.atoms_overdeleted,
-            ),
-            (
-                "triq_engine_atoms_rederived",
-                "Over-deleted atoms rederived",
-                s.atoms_rederived,
-            ),
-            (
-                "triq_engine_plans_compiled",
-                "Cost-based join plans compiled",
-                s.plans_compiled,
-            ),
-            (
-                "triq_engine_replans",
-                "Plans recomputed after cardinality drift",
-                s.replans,
-            ),
-            (
-                "triq_engine_index_builds",
-                "Joint hash indexes built",
-                s.index_builds,
-            ),
-            (
-                "triq_engine_index_probes",
-                "Probes served by hash indexes",
-                s.index_probes,
-            ),
-            (
-                "triq_engine_morsel_batches",
-                "Morsel match batches collected",
-                s.morsel_batches,
-            ),
-            (
-                "triq_engine_kernel_filter_rows",
-                "Rows screened by column kernels",
-                s.kernel_filter_rows,
-            ),
-            (
-                "triq_engine_wal_records",
-                "WAL records appended",
-                s.wal_records,
-            ),
-            (
-                "triq_engine_wal_bytes",
-                "Bytes appended to the WAL",
-                s.wal_bytes,
-            ),
-            (
-                "triq_engine_snapshots_written",
-                "Checkpoint snapshots written",
-                s.snapshots_written,
-            ),
-            (
-                "triq_engine_recovery_replayed_ops",
-                "WAL records replayed at recovery",
-                s.recovery_replayed_ops,
-            ),
-            (
-                "triq_engine_checkpoint_failures",
-                "Failed checkpoint attempts",
-                s.checkpoint_failures,
-            ),
-            (
-                "triq_engine_demand_rewrites",
-                "Plans prepared with a magic-set demand rewrite",
-                s.demand_rewrites,
-            ),
-            (
-                "triq_engine_demand_fallbacks",
-                "Demand rewrites declined or abandoned for the full chase",
-                s.demand_fallbacks,
-            ),
-            (
-                "triq_engine_demand_atoms_saved",
-                "Atoms a demand-driven chase avoided deriving versus the full-chase baseline",
-                s.demand_atoms_saved,
-            ),
-            (
-                "triq_engine_requests_rejected",
-                "Read requests rejected by the concurrency gate",
-                s.requests_rejected,
-            ),
-            (
-                "triq_engine_deadline_exceeded",
-                "Read requests aborted past their evaluation deadline",
-                s.deadline_exceeded,
-            ),
-        ] {
-            e.counter(name, help, value);
+        for (name, help, kind, value) in self.engine.stats().iter() {
+            let name = format!("triq_engine_{name}");
+            match kind {
+                CounterKind::Counter => e.counter(&name, help, value),
+                CounterKind::Gauge => e.gauge(&name, help, value),
+            }
         }
-        e.gauge(
-            "triq_engine_last_checkpoint_version",
-            "Op-log version of the most recent checkpoint",
-            s.last_checkpoint_version,
-        );
         Response::text(200, e.render())
     }
 
@@ -990,7 +858,7 @@ impl Handler for QueryService {
 /// and the server keeps serving (the WAL still covers the state): the
 /// persistence handle backs off before retrying, so a persistent disk
 /// error does not re-encode the whole session on every update, and the
-/// failure shows up as `checkpoint_failures` in `GET /stats`.
+/// failure shows up as [`Counter::CheckpointFailures`] in `GET /stats`.
 fn writer_loop(
     shared: SharedSession,
     rx: mpsc::Receiver<UpdateJob>,

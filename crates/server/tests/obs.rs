@@ -218,3 +218,63 @@ fn slow_query_log_captures_plan_and_stratum_breakdown() {
     assert!(resp.body.contains("\"latency_us\":"), "{}", resp.body);
     stop(service, server);
 }
+
+/// The engine counter table reaches every surface: each `engine` member
+/// of `GET /stats` has exactly one `triq_engine_<name>` family on
+/// `GET /metrics` (with the same value), `last_checkpoint_version` is
+/// the only gauge among them, and `docs/PROTOCOL.md` names every member.
+#[test]
+fn every_engine_counter_reaches_stats_metrics_and_protocol_doc() {
+    let (service, server, _tel) = start_instrumented("a knows b .\n b knows c .", RULES, 500);
+    let mut client = Client::new(server.local_addr());
+    let resp = client
+        .post("/query", "SELECT ?X WHERE { ?X reaches ?Z }")
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let stats = client.get("/stats").unwrap().body;
+    let metrics = client.get("/metrics").unwrap().body;
+    stop(service, server);
+
+    // The `engine` object is flat: `{"name":value,...}`.
+    let engine = stats
+        .strip_prefix("{\"engine\":{")
+        .and_then(|rest| rest.split('}').next())
+        .unwrap_or_else(|| panic!("unexpected /stats shape: {stats}"));
+    let members: Vec<(&str, &str)> = engine
+        .split(',')
+        .map(|m| {
+            let (name, value) = m.split_once(':').unwrap();
+            (name.trim_matches('"'), value)
+        })
+        .collect();
+    assert_eq!(members.len(), Counter::ALL.len());
+
+    let families: Vec<(&str, &str)> = metrics
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE triq_engine_"))
+        .map(|l| l.split_once(' ').unwrap())
+        .collect();
+    assert_eq!(families.len(), members.len(), "{families:?}");
+    let protocol = include_str!("../../../docs/PROTOCOL.md");
+    for (name, value) in &members {
+        let kinds: Vec<&str> = families
+            .iter()
+            .filter(|(f, _)| f == name)
+            .map(|(_, k)| *k)
+            .collect();
+        let expected = if *name == "last_checkpoint_version" {
+            "gauge"
+        } else {
+            "counter"
+        };
+        assert_eq!(kinds, [expected], "family for {name}");
+        assert!(
+            metrics.contains(&format!("\ntriq_engine_{name} {value}\n")),
+            "{name} = {value} on /metrics"
+        );
+        assert!(
+            protocol.contains(&format!("`{name}`")) || protocol.contains(&format!("\"{name}\"")),
+            "docs/PROTOCOL.md does not name {name}"
+        );
+    }
+}

@@ -21,8 +21,6 @@ mod translator;
 
 pub use answers::{decode_answers, decode_tuple, decode_tuple_vars, RegimeAnswers};
 pub use dnf::compile_condition;
-#[allow(deprecated)]
-pub use translator::{evaluate_plain, evaluate_regime_all, evaluate_regime_u};
 pub use translator::{
     regime_chase_config, star, translate_pattern, translate_pattern_all, translate_pattern_u, Mode,
     TranslatedPattern,

@@ -8,14 +8,12 @@
 //! arise are generated, so the program is exponential only in the worst
 //! case, as the paper notes.
 
-use crate::answers::{decode_answers, RegimeAnswers};
 use crate::dnf::compile_condition;
 use std::collections::{BTreeMap, BTreeSet};
 use triq_common::{intern, Result, Symbol, Term, TriqError, VarId};
 use triq_datalog::{Atom, ChaseConfig, Program, Query, Rule};
-use triq_owl2ql::{tau_db, tau_owl2ql_core};
-use triq_rdf::Graph;
-use triq_sparql::{GraphPattern, MappingSet, PatternTerm, TriplePattern};
+use triq_owl2ql::tau_owl2ql_core;
+use triq_sparql::{GraphPattern, PatternTerm, TriplePattern};
 
 /// The special constant ⋆ marking unbound answer positions (§5.1).
 pub fn star() -> Symbol {
@@ -405,129 +403,11 @@ pub fn translate_pattern_all(pattern: &GraphPattern) -> Result<TranslatedPattern
     translate_with_mode(pattern, Mode::RegimeAll)
 }
 
-/// Evaluates a pattern over a graph by translation + chase + decoding —
-/// the right-hand side of Theorem 5.2. Must coincide with
-/// [`triq_sparql::evaluate`].
-#[deprecated(
-    since = "0.2.0",
-    note = "one-shot path that re-translates and re-stratifies per call; \
-            prepare the pattern once via triq::Engine::prepare and execute \
-            it against a Session"
-)]
-pub fn evaluate_plain(graph: &Graph, pattern: &GraphPattern) -> Result<MappingSet> {
-    let translated = translate_pattern(pattern)?;
-    let query = translated.query()?;
-    let answers = query.evaluate_with(&tau_db(graph), ChaseConfig::default())?;
-    match decode_answers(&answers, &translated) {
-        RegimeAnswers::Mappings(m) => Ok(m),
-        RegimeAnswers::Top => unreachable!("plain translation has no constraints"),
-    }
-}
-
-/// Evaluates a pattern under J·K^U (Theorem 5.3). `⊤` is reported when the
-/// graph is inconsistent w.r.t. the ontology semantics.
-#[deprecated(
-    since = "0.2.0",
-    note = "one-shot path that re-translates and re-stratifies per call; \
-            prepare the pattern once via triq::Engine::prepare and execute \
-            it against a Session"
-)]
-pub fn evaluate_regime_u(graph: &Graph, pattern: &GraphPattern) -> Result<RegimeAnswers> {
-    let translated = translate_pattern_u(pattern)?;
-    let query = translated.query()?;
-    let answers = query.evaluate_with(&tau_db(graph), regime_chase_config())?;
-    Ok(decode_answers(&answers, &translated))
-}
-
-/// Evaluates a pattern under J·K^All (§5.3).
-#[deprecated(
-    since = "0.2.0",
-    note = "one-shot path that re-translates and re-stratifies per call; \
-            prepare the pattern once via triq::Engine::prepare and execute \
-            it against a Session"
-)]
-pub fn evaluate_regime_all(graph: &Graph, pattern: &GraphPattern) -> Result<RegimeAnswers> {
-    let translated = translate_pattern_all(pattern)?;
-    let query = translated.query()?;
-    let answers = query.evaluate_with(&tau_db(graph), regime_chase_config())?;
-    Ok(decode_answers(&answers, &translated))
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use triq_datalog::classify_program;
-    use triq_rdf::parse_turtle;
-    use triq_sparql::{evaluate, parse_pattern};
-
-    fn check_equiv(graph: &Graph, pattern_src: &str) {
-        let pattern = parse_pattern(pattern_src).unwrap();
-        let direct = evaluate(graph, &pattern);
-        let translated = evaluate_plain(graph, &pattern).unwrap();
-        assert_eq!(direct, translated, "pattern {pattern_src}");
-    }
-
-    fn g2() -> Graph {
-        parse_turtle(
-            "dbUllman is_author_of \"The Complete Book\" .\n\
-             dbUllman name \"Jeffrey Ullman\" .\n\
-             dbAho is_coauthor_of dbUllman .\n\
-             dbAho name \"Alfred Aho\" .",
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn theorem_5_2_on_paper_examples() {
-        let g = g2();
-        // Example 5.1's P1, P2 (blank), P3 (OPT), P4 (OPT-AND).
-        check_equiv(&g, "{ ?X name ?Y }");
-        check_equiv(&g, "{ ?X name _:B }");
-        check_equiv(&g, "{ ?X name ?Y } OPTIONAL { ?X phone ?Z }");
-        check_equiv(
-            &g,
-            "{ { ?X name ?Y } OPTIONAL { ?X phone ?Z } } AND { ?Z phone_company ?W }",
-        );
-        check_equiv(&g, "{ ?Y is_author_of ?Z . ?Y name ?X }");
-    }
-
-    #[test]
-    fn theorem_5_2_with_opt_binding_asymmetries() {
-        let g = parse_turtle(
-            "a name \"Alice\" .\n\
-             b name \"Bob\" .\n\
-             a phone \"123\" .\n\
-             \"123\" phone_company ACME .\n\
-             \"999\" phone_company Globex .",
-        )
-        .unwrap();
-        check_equiv(&g, "{ ?X name ?Y } OPTIONAL { ?X phone ?Z }");
-        check_equiv(
-            &g,
-            "{ { ?X name ?Y } OPTIONAL { ?X phone ?Z } } AND { ?Z phone_company ?W }",
-        );
-        check_equiv(&g, "{ ?X name ?Y } UNION { ?X phone ?Z }");
-        check_equiv(
-            &g,
-            "{ { ?X name ?Y } UNION { ?X phone ?Z } } OPTIONAL { ?Z phone_company ?W }",
-        );
-    }
-
-    #[test]
-    fn theorem_5_2_with_filters_and_select() {
-        let g = g2();
-        check_equiv(&g, "{ ?X name ?N } FILTER (?N = \"Alfred Aho\")");
-        check_equiv(&g, "{ SELECT ?X WHERE { ?X name ?N } }");
-        check_equiv(
-            &g,
-            "{ ?X name ?N } OPTIONAL { ?X phone ?Z } FILTER (!bound(?Z))",
-        );
-        check_equiv(
-            &g,
-            "{ ?X name ?N } OPTIONAL { ?X phone ?Z } FILTER (bound(?Z))",
-        );
-    }
+    use triq_sparql::parse_pattern;
 
     #[test]
     fn translations_are_triq_lite_1_0() {
@@ -550,184 +430,5 @@ mod tests {
             let c = classify_program(&t.program);
             assert!(c.plain_datalog && c.stratified);
         }
-    }
-
-    /// §5.2's running example: the pattern (?X, eats, _:B) over the animal
-    /// graph — empty under J·K^U, {dog} under J·K^All.
-    #[test]
-    fn active_domain_vs_all_semantics() {
-        use triq_owl2ql::{ontology_to_graph, Axiom, BasicClass, BasicProperty, Ontology};
-        let mut o = Ontology::new();
-        o.add(Axiom::ClassAssertion(
-            BasicClass::Named(intern("animal")),
-            intern("dog"),
-        ));
-        o.add(Axiom::SubClassOf(
-            BasicClass::Named(intern("animal")),
-            BasicClass::Some(BasicProperty::Named(intern("eats"))),
-        ));
-        let g = ontology_to_graph(&o);
-        let pattern = parse_pattern("{ ?X eats _:B }").unwrap();
-        let u = evaluate_regime_u(&g, &pattern).unwrap();
-        assert!(
-            u.mappings().unwrap().is_empty(),
-            "active domain blocks the null witness"
-        );
-        let all = evaluate_regime_all(&g, &pattern).unwrap();
-        let ms = all.mappings().unwrap();
-        assert_eq!(ms.len(), 1);
-        assert_eq!(
-            ms.iter().next().unwrap().get(VarId::new("X")),
-            Some(intern("dog"))
-        );
-        // The workaround the paper describes for J·K^U: type the subject
-        // with the restriction class.
-        let workaround = parse_pattern("{ ?X rdf:type some~eats }").unwrap();
-        let u2 = evaluate_regime_u(&g, &workaround).unwrap();
-        assert_eq!(u2.mappings().unwrap().len(), 1);
-    }
-
-    /// §2's G3: under the regime, Aho appears in the rewritten author
-    /// query via the subclass-of-restriction axiom.
-    #[test]
-    fn g3_restriction_reasoning() {
-        let mut g = g2();
-        for (s, p, o) in [
-            ("r1", "rdf:type", "owl:Restriction"),
-            ("r2", "rdf:type", "owl:Restriction"),
-            ("r1", "owl:onProperty", "is_coauthor_of"),
-            ("r2", "owl:onProperty", "is_author_of"),
-            ("r1", "owl:someValuesFrom", "owl:Thing"),
-            ("r2", "owl:someValuesFrom", "owl:Thing"),
-            ("r1", "rdfs:subClassOf", "r2"),
-        ] {
-            g.insert_strs(s, p, o);
-        }
-        // The SPARQL 1.1 style rewritten query of §2 under J·K^U.
-        let rewritten = parse_pattern(
-            "{ ?Y name ?X . ?Y rdf:type ?Z . ?Z rdf:type owl:Restriction . \
-               ?Z owl:onProperty is_author_of . ?Z owl:someValuesFrom owl:Thing }",
-        )
-        .unwrap();
-        let u = evaluate_regime_u(&g, &rewritten).unwrap();
-        let names: BTreeSet<Symbol> = u
-            .mappings()
-            .unwrap()
-            .iter()
-            .filter_map(|m| m.get(VarId::new("X")))
-            .collect();
-        assert!(names.contains(&intern("Alfred Aho")), "{names:?}");
-        assert!(names.contains(&intern("Jeffrey Ullman")));
-        // With J·K^All, the natural query (with a blank) suffices.
-        let natural = parse_pattern("{ ?Y is_author_of _:B . ?Y name ?X }").unwrap();
-        let all = evaluate_regime_all(&g, &natural).unwrap();
-        let names: BTreeSet<Symbol> = all
-            .mappings()
-            .unwrap()
-            .iter()
-            .filter_map(|m| m.get(VarId::new("X")))
-            .collect();
-        assert!(names.contains(&intern("Alfred Aho")));
-    }
-
-    #[test]
-    fn inconsistent_graph_yields_top() {
-        let g = parse_turtle(
-            "cat owl:disjointWith dog .\n\
-             cat rdf:type owl:Class .\n\
-             dog rdf:type owl:Class .\n\
-             felix rdf:type cat .\n\
-             felix rdf:type dog .",
-        )
-        .unwrap();
-        let pattern = parse_pattern("{ ?X rdf:type cat }").unwrap();
-        let u = evaluate_regime_u(&g, &pattern).unwrap();
-        assert!(matches!(u, RegimeAnswers::Top));
-    }
-}
-
-#[cfg(test)]
-#[allow(deprecated)]
-mod more_tests {
-    use super::*;
-    use triq_rdf::parse_turtle;
-    use triq_sparql::{evaluate, parse_pattern};
-
-    fn check(graph_src: &str, pattern_src: &str) {
-        let graph = parse_turtle(graph_src).unwrap();
-        let pattern = parse_pattern(pattern_src).unwrap();
-        let direct = evaluate(&graph, &pattern);
-        let translated = evaluate_plain(&graph, &pattern).unwrap();
-        assert_eq!(direct, translated, "pattern {pattern_src}");
-    }
-
-    const G: &str = "a p b .\n b p c .\n a q x .\n x r y .\n c q y .\n y r a .";
-
-    /// Nested OPT: three levels of optional binding produce up to 2^3
-    /// supra-index variants; all must decode correctly.
-    #[test]
-    fn deep_opt_nesting() {
-        check(
-            G,
-            "{ { { ?A p ?B } OPTIONAL { ?B p ?C } } OPTIONAL { ?C q ?D } } \
-             OPTIONAL { ?D r ?E }",
-        );
-    }
-
-    /// OPT under UNION under OPT — variants flow through every operator.
-    #[test]
-    fn bushy_union_opt() {
-        check(
-            G,
-            "{ { ?A p ?B } UNION { { ?A q ?B } OPTIONAL { ?B r ?C } } } \
-             OPTIONAL { ?C p ?D }",
-        );
-    }
-
-    /// FILTER over partially-bound variants: bound() interacts with the
-    /// variant machinery (statically resolved per bound-set).
-    #[test]
-    fn filter_across_variants() {
-        check(
-            G,
-            "{ { ?A p ?B } OPTIONAL { ?B q ?C } } \
-             FILTER (!bound(?C) || ?C = y)",
-        );
-        check(
-            G,
-            "{ { ?A p ?B } OPTIONAL { ?B q ?C } } FILTER (bound(?C) && ?A = ?C)",
-        );
-    }
-
-    /// SELECT projecting away the join variable of a later AND (the
-    /// Cartesian-product phenomenon of Example 5.1's P4, but with the
-    /// projection happening first).
-    #[test]
-    fn select_then_join() {
-        check(G, "{ SELECT ?B WHERE { ?A p ?B } } AND { ?B p ?C }");
-    }
-
-    /// Empty-answer edge cases: unsatisfiable filter, empty BGP matches.
-    #[test]
-    fn empty_results() {
-        check(G, "{ ?A p ?B } FILTER (?A = ?B)");
-        check(G, "{ ?A nosuchpred ?B }");
-        check(G, "{ ?A p ?B . ?B nosuchpred ?C }");
-    }
-
-    /// Zero-variable patterns: a fully-ground BGP behaves like an
-    /// assertion, answering {µ∅} or ∅.
-    #[test]
-    fn ground_bgp() {
-        check(G, "{ a p b }");
-        check(G, "{ a p c }");
-        check(G, "{ a p b } UNION { ?X q ?Y }");
-    }
-
-    /// Blank nodes joining across triples inside one BGP.
-    #[test]
-    fn blank_join_in_bgp() {
-        check(G, "{ ?A p _:B . _:B q ?C }");
-        check(G, "{ _:B p _:C }");
     }
 }

@@ -11,7 +11,6 @@
 //!
 //! Run with: `cargo run --example ontology_authors`
 
-use triq::engine::{materialize_same_as, same_as_regime_library};
 use triq::prelude::*;
 
 fn main() -> Result<(), TriqError> {

@@ -1,7 +1,6 @@
 //! End-to-end integration tests reproducing the worked examples of the
 //! paper, spanning every crate of the workspace.
 
-use triq::engine::materialize_same_as;
 use triq::prelude::*;
 
 fn g1() -> Graph {

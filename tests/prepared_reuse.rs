@@ -1,10 +1,14 @@
 //! Prepared-query reuse: one `PreparedQuery`, built once, must agree with
-//! the one-shot evaluation paths on every graph it is executed against,
-//! under all three semantics of §3.1 / §5.2 / §5.3 (plain, J·K^U,
-//! J·K^All), on the §2/§5 paper examples.
+//! a one-shot evaluation (the same pattern prepared on a fresh engine for
+//! each graph) on every graph it is executed against, under all three
+//! semantics of §3.1 / §5.2 / §5.3 (plain, J·K^U, J·K^All), on the §2/§5
+//! paper examples — and with the independent oracles: direct SPARQL
+//! evaluation for plain semantics, plain evaluation over the saturated
+//! graph for J·K^U.
 
+use triq::owl2ql::saturate;
 use triq::prelude::*;
-use triq::sparql::MappingSet;
+use triq::sparql::{GraphPattern, MappingSet};
 
 /// G1 of §2.
 fn g1() -> Graph {
@@ -58,7 +62,16 @@ fn graphs() -> Vec<Graph> {
     vec![g1(), g2(), g3(), animal_graph(), Graph::new()]
 }
 
-/// One prepared plain-semantics query vs `evaluate_plain` on five graphs.
+/// The one-shot path: `pattern` prepared on a fresh engine and executed
+/// once against a fresh session over `graph`.
+fn one_shot(graph: &Graph, pattern: &GraphPattern, semantics: Semantics) -> RegimeAnswers {
+    let engine = Engine::new();
+    let query = engine.prepare((pattern, semantics)).unwrap();
+    query.mappings(&engine.load_graph(graph.clone())).unwrap()
+}
+
+/// One prepared plain-semantics query vs the one-shot path and direct
+/// SPARQL evaluation, on five graphs.
 #[test]
 fn prepared_plain_agrees_with_one_shot_on_many_graphs() {
     let engine = Engine::new();
@@ -70,8 +83,15 @@ fn prepared_plain_agrees_with_one_shot_on_many_graphs() {
         let pattern = parse_pattern(src).unwrap();
         let prepared = engine.prepare((&pattern, Semantics::Plain)).unwrap();
         for (i, graph) in graphs().into_iter().enumerate() {
-            #[allow(deprecated)]
-            let one_shot: MappingSet = triq::translate::evaluate_plain(&graph, &pattern).unwrap();
+            let one_shot: MappingSet = one_shot(&graph, &pattern, Semantics::Plain)
+                .mappings()
+                .unwrap()
+                .clone();
+            assert_eq!(
+                one_shot,
+                evaluate_sparql(&graph, &pattern),
+                "Theorem 5.2, pattern {src}, graph #{i}"
+            );
             let session = engine.load_graph(graph);
             let via_prepared = prepared.mappings(&session).unwrap();
             assert_eq!(
@@ -83,8 +103,8 @@ fn prepared_plain_agrees_with_one_shot_on_many_graphs() {
     }
 }
 
-/// One prepared query per regime semantics vs the one-shot regime
-/// evaluators, on five graphs.
+/// One prepared query per regime semantics vs the one-shot path (and
+/// J·K^U vs the saturation reference), on five graphs.
 #[test]
 fn prepared_regimes_agree_with_one_shot_on_many_graphs() {
     let engine = Engine::new();
@@ -97,10 +117,13 @@ fn prepared_regimes_agree_with_one_shot_on_many_graphs() {
         let prepared_u = engine.prepare((&pattern, Semantics::RegimeU)).unwrap();
         let prepared_all = engine.prepare((&pattern, Semantics::RegimeAll)).unwrap();
         for (i, graph) in graphs().into_iter().enumerate() {
-            #[allow(deprecated)]
-            let u_one_shot = triq::translate::evaluate_regime_u(&graph, &pattern).unwrap();
-            #[allow(deprecated)]
-            let all_one_shot = triq::translate::evaluate_regime_all(&graph, &pattern).unwrap();
+            let u_one_shot = one_shot(&graph, &pattern, Semantics::RegimeU);
+            let all_one_shot = one_shot(&graph, &pattern, Semantics::RegimeAll);
+            assert_eq!(
+                u_one_shot.mappings().unwrap(),
+                &evaluate_sparql(&saturate(&graph).unwrap(), &pattern),
+                "Theorem 5.3, pattern {src}, graph #{i}"
+            );
             let session = engine.load_graph(graph);
             assert_eq!(
                 prepared_u.mappings(&session).unwrap(),

@@ -3,9 +3,6 @@
 //! evaluator and the Datalog translation agree on randomly generated
 //! patterns and graphs.
 
-// The deprecated one-shot translation path IS the reference under test here.
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -123,8 +120,16 @@ proptest! {
         prop_assume!(pattern.validate().is_ok());
         let graph = random_graph(&mut rng);
         let direct = evaluate_sparql(&graph, &pattern);
-        let via_datalog = triq::translate::evaluate_plain(&graph, &pattern)
+        // The translation path: prepared on an engine, executed against
+        // a session over the graph.
+        let engine = Engine::new();
+        let prepared = engine
+            .prepare((&pattern, Semantics::Plain))
             .expect("translation must succeed");
+        let via_datalog = match prepared.mappings(&engine.load_graph(graph.clone())) {
+            Ok(RegimeAnswers::Mappings(ms)) => ms,
+            other => panic!("plain translation must yield mappings: {other:?}"),
+        };
         prop_assert_eq!(
             &direct, &via_datalog,
             "pattern {} on graph {:?}", pattern, graph
